@@ -183,7 +183,7 @@ MeasuredWorkload measure_cosmo(LoaderConfig config, int dim, int repeat,
       p.bytes_to_device = value_count * 2;  // FP16 decoded on the host
       p.host_seconds = time_call(
           [&](int i) {
-            (void)codec.decode_sample_cpu(
+            (void)codec.decode_cpu(
                 encoded[static_cast<std::size_t>(i % repeat)]);
           },
           repeat);
@@ -196,7 +196,7 @@ MeasuredWorkload measure_cosmo(LoaderConfig config, int dim, int repeat,
       sim::SimGpu gpu({.sm_count = 80, .warps_per_sm = 8});
       p.gpu_decode_host_seconds = time_call(
           [&](int i) {
-            (void)codec.decode_sample_gpu(
+            (void)codec.decode_gpu(
                 encoded[static_cast<std::size_t>(i % repeat)], gpu);
           },
           repeat);
@@ -268,7 +268,7 @@ MeasuredWorkload measure_cam(LoaderConfig config, int height, int width,
       p.bytes_to_device = value_count * 2;  // FP16 decoded on the host
       p.host_seconds = time_call(
           [&](int i) {
-            (void)codec.decode_sample_cpu(
+            (void)codec.decode_cpu(
                 encoded[static_cast<std::size_t>(i % repeat)]);
           },
           repeat);
@@ -281,7 +281,7 @@ MeasuredWorkload measure_cam(LoaderConfig config, int height, int width,
       sim::SimGpu gpu({.sm_count = 80, .warps_per_sm = 8});
       p.gpu_decode_host_seconds = time_call(
           [&](int i) {
-            (void)codec.decode_sample_gpu(
+            (void)codec.decode_gpu(
                 encoded[static_cast<std::size_t>(i % repeat)], gpu);
           },
           repeat);

@@ -1,5 +1,6 @@
 #include "sciprep/codec/cam_codec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -233,6 +234,22 @@ struct ChannelStats {
   float inv_std = 1;
 };
 
+/// Mean and 1/stddev of one channel plane: the statistics the encoder stores
+/// for the fused normalization and the baseline path recomputes.
+ChannelStats plane_stats(const float* plane, std::size_t n) {
+  double sum = 0;
+  for (std::size_t i = 0; i < n; ++i) sum += plane[i];
+  const double mean = sum / static_cast<double>(n);
+  double var = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = plane[i] - mean;
+    var += d * d;
+  }
+  var /= static_cast<double>(n);
+  const double stddev = std::sqrt(std::max(var, 1e-12));
+  return {static_cast<float>(mean), static_cast<float>(1.0 / stddev)};
+}
+
 /// The fused preprocessing applied before every FP16 emit.
 inline Half emit(float raw, const ChannelStats& s, bool normalize) {
   return Half(normalize ? (raw - s.mean) * s.inv_std : raw);
@@ -403,6 +420,69 @@ void decode_line(const ParsedLine& line, int width, const ChannelStats& stats,
   }
 }
 
+/// An unfilled image tensor in the requested layout (labels left empty).
+TensorF16 allocate_output(int channels, int height, int width, bool chw) {
+  TensorF16 out;
+  const auto c64 = static_cast<std::uint64_t>(channels);
+  const auto h64 = static_cast<std::uint64_t>(height);
+  const auto w64 = static_cast<std::uint64_t>(width);
+  out.shape = chw ? std::vector<std::uint64_t>{c64, h64, w64}
+                  : std::vector<std::uint64_t>{h64, w64, c64};
+  out.values.resize(c64 * h64 * w64);
+  return out;
+}
+
+/// Decode line `line_id` (= c * height + y) straight into its place in
+/// `values`: the per-line body both decode drivers run, with the layout
+/// transpose fused into the write index.
+void decode_line_into(const ParsedCam& p, std::size_t line_id, Half* values,
+                      bool chw) {
+  const auto height = static_cast<std::size_t>(p.height);
+  const auto width = static_cast<std::size_t>(p.width);
+  const std::size_t c = line_id / height;
+  const ParsedLine& line = p.lines[line_id];
+  const ChannelStats& cs = p.stats[c];
+  if (chw) {
+    Half* dst = values + line_id * width;
+    decode_line(line, p.width, cs, p.normalize,
+                [dst](int x, Half h) { dst[x] = h; });
+  } else {
+    const auto stride = static_cast<std::size_t>(p.channels);
+    Half* base = values + (line_id % height) * width * stride + c;
+    decode_line(line, p.width, cs, p.normalize, [base, stride](int x, Half h) {
+      base[static_cast<std::size_t>(x) * stride] = h;
+    });
+  }
+}
+
+/// SimGpu cost of one line decoded by one warp, charged by arithmetic, not
+/// lane by lane: a constant broadcast or raw16 copy is one lockstep op per
+/// 32 values; the serial delta walk diverges once per segment (hidden, in
+/// the paper's hierarchical scheme, by other lines' resident warps); the
+/// flush is one op per 32 values, plus one divergence each for the strided
+/// HWC store. Call only after decode_line_into succeeded on the line.
+void charge_line(sim::Warp& warp, const ParsedLine& line, std::uint64_t width,
+                 bool chw) {
+  const std::uint64_t waves =
+      (width + sim::Warp::kLanes - 1) / sim::Warp::kLanes;
+  switch (line.mode) {
+    case kModeConstant:
+      warp.count_lockstep(waves);
+      warp.count_read(sizeof(float));
+      break;
+    case kModeRaw16:
+      warp.count_lockstep(waves);
+      warp.count_read(width * 2);
+      break;
+    default:  // kModeDelta; decode_line rejected every other mode
+      warp.note_divergence(ByteReader(line.body).get<std::uint16_t>());
+      warp.count_read(line.body.size());
+  }
+  warp.count_lockstep(waves);
+  if (!chw) warp.note_divergence(waves);
+  warp.count_write(width * sizeof(Half));
+}
+
 }  // namespace
 
 CamCodec::CamCodec(CamEncodeOptions encode_options,
@@ -425,20 +505,9 @@ Bytes CamCodec::encode_sample(const io::CamSample& sample) const {
   // Per-channel statistics for the fused normalization.
   std::vector<ChannelStats> stats(static_cast<std::size_t>(sample.channels));
   for (int c = 0; c < sample.channels; ++c) {
-    const float* plane =
-        sample.image.data() + static_cast<std::size_t>(c) * sample.pixel_count();
-    double sum = 0;
-    for (std::size_t i = 0; i < sample.pixel_count(); ++i) sum += plane[i];
-    const double mean = sum / static_cast<double>(sample.pixel_count());
-    double var = 0;
-    for (std::size_t i = 0; i < sample.pixel_count(); ++i) {
-      const double d = plane[i] - mean;
-      var += d * d;
-    }
-    var /= static_cast<double>(sample.pixel_count());
-    const double stddev = std::sqrt(std::max(var, 1e-12));
-    stats[static_cast<std::size_t>(c)] = {
-        static_cast<float>(mean), static_cast<float>(1.0 / stddev)};
+    stats[static_cast<std::size_t>(c)] = plane_stats(
+        sample.image.data() + static_cast<std::size_t>(c) * sample.pixel_count(),
+        sample.pixel_count());
   }
 
   ByteWriter out;
@@ -509,161 +578,6 @@ Bytes CamCodec::encode_sample(const io::CamSample& sample) const {
   return std::move(out).take();
 }
 
-TensorF16 CamCodec::decode_sample_cpu(ByteSpan encoded) const {
-  const ParsedCam p = parse_cam(encoded);
-  TensorF16 out;
-  const auto c64 = static_cast<std::uint64_t>(p.channels);
-  const auto h64 = static_cast<std::uint64_t>(p.height);
-  const auto w64 = static_cast<std::uint64_t>(p.width);
-  const bool chw = decode_options_.layout == CamLayout::kCHW;
-  out.shape = chw ? std::vector<std::uint64_t>{c64, h64, w64}
-                  : std::vector<std::uint64_t>{h64, w64, c64};
-  out.values.resize(c64 * h64 * w64);
-  out.byte_labels = p.labels;
-
-  for (int c = 0; c < p.channels; ++c) {
-    guard::poll_cancellation();  // cancellation point per channel
-    const ChannelStats& cs = p.stats[static_cast<std::size_t>(c)];
-    for (int y = 0; y < p.height; ++y) {
-      const ParsedLine& line =
-          p.lines[static_cast<std::size_t>(c) * p.height + y];
-      // Layout transpose fused into the write index.
-      if (chw) {
-        Half* dst = out.values.data() +
-                    (static_cast<std::size_t>(c) * p.height + y) * p.width;
-        decode_line(line, p.width, cs, p.normalize,
-                    [dst](int x, Half h) { dst[x] = h; });
-      } else {
-        Half* base = out.values.data() +
-                     static_cast<std::size_t>(y) * p.width * p.channels +
-                     static_cast<std::size_t>(c);
-        const int stride = p.channels;
-        decode_line(line, p.width, cs, p.normalize, [base, stride](int x, Half h) {
-          base[static_cast<std::size_t>(x) * stride] = h;
-        });
-      }
-    }
-  }
-  return out;
-}
-
-TensorF16 CamCodec::decode_sample_gpu(ByteSpan encoded,
-                                      sim::SimGpu& gpu) const {
-  const ParsedCam p = parse_cam(encoded);
-  TensorF16 out;
-  const auto c64 = static_cast<std::uint64_t>(p.channels);
-  const auto h64 = static_cast<std::uint64_t>(p.height);
-  const auto w64 = static_cast<std::uint64_t>(p.width);
-  const bool chw = decode_options_.layout == CamLayout::kCHW;
-  out.shape = chw ? std::vector<std::uint64_t>{c64, h64, w64}
-                  : std::vector<std::uint64_t>{h64, w64, c64};
-  out.values.resize(c64 * h64 * w64);
-  out.byte_labels = p.labels;
-
-  // Hierarchical warp assignment (paper §VI): each line decodes in its own
-  // warp — lines are fully independent thanks to the offset table. Within a
-  // warp, copy/broadcast tasks run lane-parallel (coalesced 32-value writes);
-  // the serial delta reconstruction walks in registers and flushes through
-  // lane-parallel stores, with each segment transition noted as divergence.
-  const std::size_t line_count = p.lines.size();
-  const int width = p.width;
-  const int height = p.height;
-  const int channels = p.channels;
-  Half* values = out.values.data();
-  const bool normalize = p.normalize;
-
-  gpu.launch(line_count, [&, width, height, channels, chw,
-                          normalize](sim::Warp& warp) {
-    const std::size_t line_id = warp.id();
-    const int c = static_cast<int>(line_id) / height;
-    const int y = static_cast<int>(line_id) % height;
-    const ChannelStats& cs = p.stats[static_cast<std::size_t>(c)];
-    const ParsedLine& line = p.lines[line_id];
-
-    // Stage the line into a "shared memory" buffer, then flush with
-    // lane-parallel batches of 32 (the coalesced store pattern).
-    std::vector<Half> staged(static_cast<std::size_t>(width));
-    switch (line.mode) {
-      case kModeConstant: {
-        ByteReader in(line.body);
-        const Half h = emit(in.get<float>(), cs, normalize);
-        // Pure broadcast: every lane writes the same register value.
-        for (int x0 = 0; x0 < width; x0 += sim::Warp::kLanes) {
-          warp.lanes([&](int lane) {
-            const int x = x0 + lane;
-            if (x < width) staged[static_cast<std::size_t>(x)] = h;
-          });
-        }
-        warp.count_read(sizeof(float));
-        break;
-      }
-      case kModeRaw16: {
-        if (line.body.size() != static_cast<std::size_t>(width) * 2) {
-          throw_format("cam codec: raw line has {} bytes for width {}",
-                       line.body.size(), width);
-        }
-        for (int x0 = 0; x0 < width; x0 += sim::Warp::kLanes) {
-          warp.lanes([&](int lane) {
-            const int x = x0 + lane;
-            if (x >= width) return;
-            std::uint16_t bits;
-            std::memcpy(&bits,
-                        line.body.data() + static_cast<std::size_t>(x) * 2, 2);
-            staged[static_cast<std::size_t>(x)] = Half::from_bits(bits);
-          });
-        }
-        warp.count_read(static_cast<std::uint64_t>(width) * 2);
-        break;
-      }
-      case kModeDelta: {
-        // Serial reconstruction: one lane effectively works while the warp
-        // waits — the divergence cost the paper's hierarchical scheme
-        // mitigates by keeping other warps (other lines) resident.
-        decode_line(line, width, cs, normalize, [&staged](int x, Half h) {
-          staged[static_cast<std::size_t>(x)] = h;
-        });
-        ByteReader in(line.body);
-        const auto seg_count = in.get<std::uint16_t>();
-        for (int s = 0; s < seg_count; ++s) {
-          warp.note_divergence();
-        }
-        warp.count_read(line.body.size());
-        break;
-      }
-      default:
-        throw_format("cam codec: bad line mode {}", line.mode);
-    }
-
-    // Flush: lane-parallel stores; CHW is coalesced, HWC strides by channel
-    // count (counted as divergence pressure for the ablation bench).
-    if (chw) {
-      Half* dst =
-          values + (static_cast<std::size_t>(c) * height + y) * width;
-      for (int x0 = 0; x0 < width; x0 += sim::Warp::kLanes) {
-        warp.lanes([&](int lane) {
-          const int x = x0 + lane;
-          if (x < width) dst[x] = staged[static_cast<std::size_t>(x)];
-        });
-      }
-    } else {
-      Half* base = values + static_cast<std::size_t>(y) * width * channels +
-                   static_cast<std::size_t>(c);
-      for (int x0 = 0; x0 < width; x0 += sim::Warp::kLanes) {
-        warp.note_divergence();  // strided (uncoalesced) store pattern
-        warp.lanes([&](int lane) {
-          const int x = x0 + lane;
-          if (x < width) {
-            base[static_cast<std::size_t>(x) * channels] =
-                staged[static_cast<std::size_t>(x)];
-          }
-        });
-      }
-    }
-    warp.count_write(static_cast<std::uint64_t>(width) * sizeof(Half));
-  });
-  return out;
-}
-
 CamEncodedInfo CamCodec::inspect(ByteSpan encoded) {
   const ParsedCam p = parse_cam(encoded);
   CamEncodedInfo info;
@@ -693,33 +607,16 @@ CamEncodedInfo CamCodec::inspect(ByteSpan encoded) {
 TensorF16 CamCodec::reference_preprocess_sample(const io::CamSample& sample,
                                                 bool normalize,
                                                 CamLayout layout) {
-  TensorF16 out;
-  const auto c64 = static_cast<std::uint64_t>(sample.channels);
-  const auto h64 = static_cast<std::uint64_t>(sample.height);
-  const auto w64 = static_cast<std::uint64_t>(sample.width);
   const bool chw = layout == CamLayout::kCHW;
-  out.shape = chw ? std::vector<std::uint64_t>{c64, h64, w64}
-                  : std::vector<std::uint64_t>{h64, w64, c64};
-  out.values.resize(sample.value_count());
+  TensorF16 out =
+      allocate_output(sample.channels, sample.height, sample.width, chw);
   out.byte_labels = sample.labels;
 
   for (int c = 0; c < sample.channels; ++c) {
     const float* plane =
         sample.image.data() + static_cast<std::size_t>(c) * sample.pixel_count();
-    ChannelStats cs;
-    if (normalize) {
-      double sum = 0;
-      for (std::size_t i = 0; i < sample.pixel_count(); ++i) sum += plane[i];
-      const double mean = sum / static_cast<double>(sample.pixel_count());
-      double var = 0;
-      for (std::size_t i = 0; i < sample.pixel_count(); ++i) {
-        const double d = plane[i] - mean;
-        var += d * d;
-      }
-      var /= static_cast<double>(sample.pixel_count());
-      cs = {static_cast<float>(mean),
-            static_cast<float>(1.0 / std::sqrt(std::max(var, 1e-12)))};
-    }
+    const ChannelStats cs =
+        normalize ? plane_stats(plane, sample.pixel_count()) : ChannelStats{};
     for (int y = 0; y < sample.height; ++y) {
       for (int x = 0; x < sample.width; ++x) {
         const float v = plane[static_cast<std::size_t>(y) * sample.width + x];
@@ -749,13 +646,36 @@ Bytes CamCodec::encode(ByteSpan raw_sample) const {
 TensorF16 CamCodec::decode_cpu(ByteSpan encoded) const {
   SCIPREP_OBS_SPAN("codec.cam.decode_cpu", "codec");
   SCIPREP_OBS_COUNT("codec.cam.decode_bytes_in_total", encoded.size());
-  return decode_sample_cpu(encoded);
+  const ParsedCam p = parse_cam(encoded);
+  const bool chw = decode_options_.layout == CamLayout::kCHW;
+  TensorF16 out = allocate_output(p.channels, p.height, p.width, chw);
+  out.byte_labels = p.labels;
+  const auto height = static_cast<std::size_t>(p.height);
+  for (std::size_t line_id = 0; line_id < p.lines.size(); ++line_id) {
+    if (line_id % height == 0) {
+      guard::poll_cancellation();  // cancellation point per channel
+    }
+    decode_line_into(p, line_id, out.values.data(), chw);
+  }
+  return out;
 }
 
 TensorF16 CamCodec::decode_gpu(ByteSpan encoded, sim::SimGpu& gpu) const {
   SCIPREP_OBS_SPAN("codec.cam.decode_gpu", "codec");
   SCIPREP_OBS_COUNT("codec.cam.decode_bytes_in_total", encoded.size());
-  return decode_sample_gpu(encoded, gpu);
+  const ParsedCam p = parse_cam(encoded);
+  const bool chw = decode_options_.layout == CamLayout::kCHW;
+  TensorF16 out = allocate_output(p.channels, p.height, p.width, chw);
+  out.byte_labels = p.labels;
+  // Hierarchical warp assignment (paper §VI): each line decodes in its own
+  // warp — lines are fully independent thanks to the offset table. The warp
+  // runs the same per-line body as the CPU driver, then charges what the
+  // lockstep schedule of that line would cost.
+  gpu.launch(p.lines.size(), [&](sim::Warp& warp) {
+    decode_line_into(p, warp.id(), out.values.data(), chw);
+    charge_line(warp, p.lines[warp.id()], p.width, chw);
+  });
+  return out;
 }
 
 TensorF16 CamCodec::reference_preprocess(ByteSpan raw_sample) const {

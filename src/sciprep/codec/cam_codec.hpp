@@ -70,9 +70,6 @@ class CamCodec final : public SampleCodec {
 
   // Typed API ---------------------------------------------------------------
   [[nodiscard]] Bytes encode_sample(const io::CamSample& sample) const;
-  [[nodiscard]] TensorF16 decode_sample_cpu(ByteSpan encoded) const;
-  [[nodiscard]] TensorF16 decode_sample_gpu(ByteSpan encoded,
-                                            sim::SimGpu& gpu) const;
   [[nodiscard]] static CamEncodedInfo inspect(ByteSpan encoded);
 
   /// Baseline preprocessing: FP32 image -> per-channel normalize -> FP16,

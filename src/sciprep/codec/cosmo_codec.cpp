@@ -1,7 +1,9 @@
 #include "sciprep/codec/cosmo_codec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <unordered_map>
 
 #include "sciprep/common/error.hpp"
@@ -20,6 +22,7 @@ constexpr std::uint8_t kStreamRaw = 0;
 constexpr std::uint8_t kStreamRle = 1;
 
 constexpr int kR = io::CosmoSample::kRedshifts;
+constexpr std::size_t kLanes = sim::Warp::kLanes;
 
 /// A group of 4 redshift counts, hashed for the encoder's group index.
 struct Group {
@@ -54,6 +57,7 @@ std::uint64_t raw_stream_bytes(const Block& b, int key_width) {
 struct RleRun {
   std::uint32_t length;
   std::uint32_t key;
+  std::uint64_t voxel = 0;  // decode only: the run's first voxel
 };
 
 std::vector<RleRun> rle_runs(const Block& b) {
@@ -280,14 +284,14 @@ std::int32_t load_table_count(const std::uint8_t* table_bytes, std::size_t i) {
   return v;
 }
 
-/// Materialize a block's FP16 table: the fused log1p is applied to the unique
-/// groups only — three orders of magnitude fewer values than the volume.
-std::vector<Half> build_fp16_table(const ParsedBlock& b, bool log1p) {
-  std::vector<Half> table(static_cast<std::size_t>(b.group_count) * kR);
-  for (std::size_t i = 0; i < table.size(); ++i) {
+/// Materialize table values [first, last) of a block in FP16: the fused log1p
+/// is applied to the unique groups only — three orders of magnitude fewer
+/// values than the volume.
+void transform_table(const ParsedBlock& b, bool log1p, Half* table,
+                     std::size_t first, std::size_t last) {
+  for (std::size_t i = first; i < last; ++i) {
     table[i] = transform_count(load_table_count(b.table.data(), i), log1p);
   }
-  return table;
 }
 
 std::uint32_t read_key(const std::uint8_t* stream, std::size_t i,
@@ -305,173 +309,83 @@ void validate_key(std::uint32_t key, const ParsedBlock& b) {
   }
 }
 
+/// Read a run-length block's runs in stream order, validating each against
+/// the table and the block's voxel range, and call f(voxel, length, key)
+/// for each: the run parse both decode drivers share.
+template <class F>
+void for_each_run(const ParsedBlock& b, F&& f) {
+  ByteReader runs(b.stream);
+  std::uint64_t voxel = b.voxel_begin;
+  for (std::uint32_t r = 0; r < b.run_count; ++r) {
+    const auto length = runs.get<std::uint32_t>();
+    const std::uint32_t key = b.key_width == 1 ? runs.get<std::uint8_t>()
+                                               : runs.get<std::uint16_t>();
+    validate_key(key, b);
+    if (voxel + length > b.voxel_end) {
+      throw_format("cosmo codec: RLE overruns block at voxel {}", voxel);
+    }
+    f(voxel, length, key);
+    voxel += length;
+  }
+  if (voxel != b.voxel_end) {
+    throw_format("cosmo codec: RLE covers {} of {} voxels", voxel,
+                 b.voxel_end);
+  }
+}
+
+/// Broadcast one table entry (kR values) over `length` voxels at `dst`.
+void fill_run(const Half* entry, Half* dst, std::uint32_t length) {
+  for (std::uint32_t i = 0; i < length; ++i) {
+    std::memcpy(dst + static_cast<std::size_t>(i) * kR, entry,
+                sizeof(Half) * kR);
+  }
+}
+
+/// Gather voxels [first, last) of a raw-key block (offsets within the block)
+/// through its FP16 table into the block's output `dst`.
+void gather(const ParsedBlock& b, const Half* table, std::uint64_t first,
+            std::uint64_t last, Half* dst) {
+  const std::uint8_t* stream = b.stream.data();
+  const int key_width = b.key_width;
+  for (std::uint64_t v = first; v < last; ++v) {
+    const std::uint32_t key = read_key(stream, v, key_width);
+    validate_key(key, b);
+    std::memcpy(dst + v * kR, table + static_cast<std::size_t>(key) * kR,
+                sizeof(Half) * kR);
+  }
+}
+
+/// Warps that cover `n` items at one item per lane.
+std::uint64_t warps_for(std::uint64_t n) {
+  return (n + kLanes - 1) / kLanes;
+}
+
+/// The table build as a SimGpu kernel: one lane per table value.
+std::vector<Half> table_kernel(sim::SimGpu& gpu, const ParsedBlock& b,
+                               bool log1p) {
+  std::vector<Half> table(static_cast<std::size_t>(b.group_count) * kR);
+  gpu.launch(warps_for(table.size()), [&](sim::Warp& warp) {
+    const std::size_t first = warp.id() * kLanes;
+    transform_table(b, log1p, table.data(), first,
+                    std::min(first + kLanes, table.size()));
+    warp.count_lockstep(1);
+    warp.count_read(kLanes * sizeof(std::int32_t));
+    warp.count_write(kLanes * sizeof(Half));
+  });
+  return table;
+}
+
+/// An unfilled dim^3 x kR volume carrying the (lossless) labels.
+TensorF16 allocate_output(int dim, std::span<const float> labels) {
+  TensorF16 out;
+  const auto d = static_cast<std::uint64_t>(dim);
+  out.shape = {d, d, d, kR};
+  out.values.resize(d * d * d * kR);
+  out.float_labels.assign(labels.begin(), labels.end());
+  return out;
+}
+
 }  // namespace
-
-TensorF16 CosmoCodec::decode_sample_cpu(ByteSpan encoded) const {
-  const ParsedCosmo p = parse_cosmo(encoded);
-  TensorF16 out;
-  const auto dim = static_cast<std::uint64_t>(p.dim);
-  out.shape = {dim, dim, dim, kR};
-  out.values.resize(dim * dim * dim * kR);
-  out.float_labels.assign(p.labels.begin(), p.labels.end());
-
-  for (const ParsedBlock& b : p.blocks) {
-    guard::poll_cancellation();  // cancellation point per block
-    const std::vector<Half> table = build_fp16_table(b, p.log1p);
-    Half* dst = out.values.data() + b.voxel_begin * kR;
-    if (b.rle) {
-      ByteReader runs(b.stream);
-      std::uint64_t voxel = b.voxel_begin;
-      for (std::uint32_t r = 0; r < b.run_count; ++r) {
-        const auto length = runs.get<std::uint32_t>();
-        const std::uint32_t key = b.key_width == 1
-                                      ? runs.get<std::uint8_t>()
-                                      : runs.get<std::uint16_t>();
-        validate_key(key, b);
-        if (voxel + length > b.voxel_end) {
-          throw_format("cosmo codec: RLE overruns block at voxel {}", voxel);
-        }
-        const Half* entry = table.data() + static_cast<std::size_t>(key) * kR;
-        for (std::uint32_t i = 0; i < length; ++i) {
-          std::memcpy(dst, entry, sizeof(Half) * kR);
-          dst += kR;
-        }
-        voxel += length;
-      }
-      if (voxel != b.voxel_end) {
-        throw_format("cosmo codec: RLE covers {} of {} voxels", voxel,
-                     b.voxel_end);
-      }
-    } else {
-      const std::uint64_t count = b.voxel_end - b.voxel_begin;
-      for (std::uint64_t v = 0; v < count; ++v) {
-        const std::uint32_t key = read_key(b.stream.data(), v, b.key_width);
-        validate_key(key, b);
-        std::memcpy(dst, table.data() + static_cast<std::size_t>(key) * kR,
-                    sizeof(Half) * kR);
-        dst += kR;
-      }
-    }
-  }
-  return out;
-}
-
-TensorF16 CosmoCodec::decode_sample_gpu(ByteSpan encoded,
-                                        sim::SimGpu& gpu) const {
-  const ParsedCosmo p = parse_cosmo(encoded);
-  TensorF16 out;
-  const auto dim = static_cast<std::uint64_t>(p.dim);
-  out.shape = {dim, dim, dim, kR};
-  out.values.resize(dim * dim * dim * kR);
-  out.float_labels.assign(p.labels.begin(), p.labels.end());
-
-  for (const ParsedBlock& b : p.blocks) {
-    guard::poll_cancellation();  // cancellation point per block
-    // Table construction is itself a small kernel: one lane per table entry.
-    std::vector<Half> table(static_cast<std::size_t>(b.group_count) * kR);
-    const std::uint8_t* raw_table = b.table.data();
-    const std::size_t table_values = table.size();
-    const bool log1p = p.log1p;
-    gpu.launch((table_values + sim::Warp::kLanes - 1) / sim::Warp::kLanes,
-               [&](sim::Warp& warp) {
-                 warp.lanes([&](int lane) {
-                   const std::size_t i =
-                       warp.id() * sim::Warp::kLanes +
-                       static_cast<std::size_t>(lane);
-                   if (i >= table_values) return;
-                   table[i] =
-                       transform_count(load_table_count(raw_table, i), log1p);
-                 });
-                 warp.count_read(sim::Warp::kLanes * sizeof(std::int32_t));
-                 warp.count_write(sim::Warp::kLanes * sizeof(Half));
-               });
-
-    Half* dst = out.values.data() + b.voxel_begin * kR;
-    if (b.rle) {
-      // Broadcast kernel: parse runs once on the "host" side of the launch,
-      // then assign each run to consecutive warps; each lockstep op writes 32
-      // voxels of the same table entry (a pure coalesced broadcast).
-      ByteReader runs_in(b.stream);
-      struct Run {
-        std::uint64_t voxel;
-        std::uint32_t length;
-        std::uint32_t key;
-      };
-      std::vector<Run> runs;
-      runs.reserve(b.run_count);
-      std::uint64_t voxel = b.voxel_begin;
-      for (std::uint32_t r = 0; r < b.run_count; ++r) {
-        const auto length = runs_in.get<std::uint32_t>();
-        const std::uint32_t key = b.key_width == 1
-                                      ? runs_in.get<std::uint8_t>()
-                                      : runs_in.get<std::uint16_t>();
-        validate_key(key, b);
-        if (voxel + length > b.voxel_end) {
-          throw_format("cosmo codec: RLE overruns block at voxel {}", voxel);
-        }
-        runs.push_back({voxel, length, key});
-        voxel += length;
-      }
-      if (voxel != b.voxel_end) {
-        throw_format("cosmo codec: RLE covers {} of {} voxels", voxel,
-                     b.voxel_end);
-      }
-      const std::uint64_t base = b.voxel_begin;
-      gpu.launch(runs.size(), [&](sim::Warp& warp) {
-        const Run& run = runs[warp.id()];
-        const Half* entry =
-            table.data() + static_cast<std::size_t>(run.key) * kR;
-        Half* out_base = out.values.data() + run.voxel * kR;
-        std::uint32_t done = 0;
-        while (done < run.length) {
-          const std::uint32_t batch =
-              std::min<std::uint32_t>(sim::Warp::kLanes, run.length - done);
-          if (batch < sim::Warp::kLanes) {
-            warp.note_divergence();  // partial warp at run tail
-          }
-          warp.lanes([&](int lane) {
-            if (static_cast<std::uint32_t>(lane) >= batch) return;
-            std::memcpy(out_base + (done + static_cast<std::uint32_t>(lane)) * kR,
-                        entry, sizeof(Half) * kR);
-          });
-          warp.count_write(batch * sizeof(Half) * kR);
-          done += batch;
-        }
-        (void)base;
-      });
-    } else {
-      // Gather kernel: lane v reads key[v], looks up 8 bytes, writes 8 bytes
-      // — fully coalesced, no divergence (paper §VI: "no dependencies
-      // between threads due to the use of single key width per table").
-      const std::uint64_t count = b.voxel_end - b.voxel_begin;
-      const std::uint8_t* stream = b.stream.data();
-      const int key_width = b.key_width;
-      const std::uint32_t group_count = b.group_count;
-      gpu.launch((count + sim::Warp::kLanes - 1) / sim::Warp::kLanes,
-                 [&](sim::Warp& warp) {
-                   warp.lanes([&](int lane) {
-                     const std::uint64_t v =
-                         warp.id() * sim::Warp::kLanes +
-                         static_cast<std::uint64_t>(lane);
-                     if (v >= count) return;
-                     const std::uint32_t key = read_key(stream, v, key_width);
-                     if (key >= group_count) {
-                       throw_format("cosmo codec: key {} out of range {}", key,
-                                    group_count);
-                     }
-                     std::memcpy(
-                         dst + v * kR,
-                         table.data() + static_cast<std::size_t>(key) * kR,
-                         sizeof(Half) * kR);
-                   });
-                   warp.count_read(sim::Warp::kLanes *
-                                   (key_width + sizeof(Half) * kR));
-                   warp.count_write(sim::Warp::kLanes * sizeof(Half) * kR);
-                 });
-    }
-  }
-  return out;
-}
 
 CosmoEncodedInfo CosmoCodec::inspect(ByteSpan encoded) {
   const ParsedCosmo p = parse_cosmo(encoded);
@@ -488,11 +402,8 @@ CosmoEncodedInfo CosmoCodec::inspect(ByteSpan encoded) {
 
 TensorF16 CosmoCodec::reference_preprocess_sample(const io::CosmoSample& sample,
                                                   bool log1p) {
-  TensorF16 out;
-  const auto dim = static_cast<std::uint64_t>(sample.dim);
-  out.shape = {dim, dim, dim, kR};
-  out.values.resize(sample.counts.size());
-  out.float_labels.assign(sample.params.begin(), sample.params.end());
+  SCIPREP_ASSERT(sample.counts.size() == sample.value_count());
+  TensorF16 out = allocate_output(sample.dim, sample.params);
   // Baseline path: the full 8M-value volume goes through log1p + cast, one
   // value at a time — no unique-value factoring.
   for (std::size_t i = 0; i < sample.counts.size(); ++i) {
@@ -512,13 +423,68 @@ Bytes CosmoCodec::encode(ByteSpan raw_sample) const {
 TensorF16 CosmoCodec::decode_cpu(ByteSpan encoded) const {
   SCIPREP_OBS_SPAN("codec.cosmo.decode_cpu", "codec");
   SCIPREP_OBS_COUNT("codec.cosmo.decode_bytes_in_total", encoded.size());
-  return decode_sample_cpu(encoded);
+  const ParsedCosmo p = parse_cosmo(encoded);
+  TensorF16 out = allocate_output(p.dim, p.labels);
+  for (const ParsedBlock& b : p.blocks) {
+    guard::poll_cancellation();  // cancellation point per block
+    std::vector<Half> table(static_cast<std::size_t>(b.group_count) * kR);
+    transform_table(b, p.log1p, table.data(), 0, table.size());
+    if (b.rle) {
+      for_each_run(b, [&](std::uint64_t voxel, std::uint32_t length,
+                          std::uint32_t key) {
+        fill_run(table.data() + static_cast<std::size_t>(key) * kR,
+                 out.values.data() + voxel * kR, length);
+      });
+    } else {
+      gather(b, table.data(), 0, b.voxel_end - b.voxel_begin,
+             out.values.data() + b.voxel_begin * kR);
+    }
+  }
+  return out;
 }
 
 TensorF16 CosmoCodec::decode_gpu(ByteSpan encoded, sim::SimGpu& gpu) const {
   SCIPREP_OBS_SPAN("codec.cosmo.decode_gpu", "codec");
   SCIPREP_OBS_COUNT("codec.cosmo.decode_bytes_in_total", encoded.size());
-  return decode_sample_gpu(encoded, gpu);
+  const ParsedCosmo p = parse_cosmo(encoded);
+  TensorF16 out = allocate_output(p.dim, p.labels);
+  for (const ParsedBlock& b : p.blocks) {
+    guard::poll_cancellation();  // cancellation point per block
+    const std::vector<Half> table = table_kernel(gpu, b, p.log1p);
+    if (b.rle) {
+      // Broadcast kernel: the runs are parsed once, host side; each warp
+      // then broadcasts one run's table entry, 32 voxels per lockstep op (a
+      // coalesced store), and diverges on a partial tail.
+      std::vector<RleRun> runs;
+      runs.reserve(b.run_count);
+      for_each_run(b, [&runs](std::uint64_t voxel, std::uint32_t length,
+                              std::uint32_t key) {
+        runs.push_back({length, key, voxel});
+      });
+      gpu.launch(runs.size(), [&](sim::Warp& warp) {
+        const RleRun& run = runs[warp.id()];
+        fill_run(table.data() + static_cast<std::size_t>(run.key) * kR,
+                 out.values.data() + run.voxel * kR, run.length);
+        warp.count_lockstep(warps_for(run.length));
+        if (run.length % kLanes != 0) warp.note_divergence();
+        warp.count_write(std::uint64_t{run.length} * sizeof(Half) * kR);
+      });
+    } else {
+      // Gather kernel: lane v reads key[v], looks up 8 bytes, writes 8 bytes
+      // — fully coalesced, no divergence (paper §VI: "no dependencies
+      // between threads due to the use of single key width per table").
+      const std::uint64_t count = b.voxel_end - b.voxel_begin;
+      gpu.launch(warps_for(count), [&](sim::Warp& warp) {
+        const std::uint64_t first = warp.id() * kLanes;
+        gather(b, table.data(), first, std::min(first + kLanes, count),
+               out.values.data() + b.voxel_begin * kR);
+        warp.count_lockstep(1);
+        warp.count_read(kLanes * (b.key_width + sizeof(Half) * kR));
+        warp.count_write(kLanes * sizeof(Half) * kR);
+      });
+    }
+  }
+  return out;
 }
 
 TensorF16 CosmoCodec::reference_preprocess(ByteSpan raw_sample) const {

@@ -49,9 +49,6 @@ class CosmoCodec final : public SampleCodec {
 
   // Typed API ---------------------------------------------------------------
   [[nodiscard]] Bytes encode_sample(const io::CosmoSample& sample) const;
-  [[nodiscard]] TensorF16 decode_sample_cpu(ByteSpan encoded) const;
-  [[nodiscard]] TensorF16 decode_sample_gpu(ByteSpan encoded,
-                                            sim::SimGpu& gpu) const;
   /// Parse only the structural header (no voxel work).
   [[nodiscard]] static CosmoEncodedInfo inspect(ByteSpan encoded);
 

@@ -17,15 +17,18 @@ std::uint32_t thread_index() noexcept {
 namespace {
 
 // Function-local statics: usable from other static-storage objects (the
-// global tracer's exporter) regardless of initialization order.
+// global tracer's exporter) regardless of initialization order. Never
+// destroyed: a global_pool() worker that is still starting when the process
+// exits names itself after every static constructed later than the pool is
+// gone, and the map is built by the first worker, after the pool.
 std::mutex& thread_names_mutex() {
-  static std::mutex mutex;
-  return mutex;
+  static auto* mutex = new std::mutex;
+  return *mutex;
 }
 
 std::map<std::uint32_t, std::string>& thread_names_map() {
-  static std::map<std::uint32_t, std::string> names;
-  return names;
+  static auto* names = new std::map<std::uint32_t, std::string>;
+  return *names;
 }
 
 }  // namespace

@@ -215,6 +215,11 @@ void DataPipeline::extend_epoch_order(const std::vector<std::size_t>& tail) {
   // Quiesce exactly like snapshot(): the in-flight prefetch claimed a range
   // of the *old* order, so it completes against that order and parks; the
   // appended tail only affects ranges claimed after this call.
+  park_pending();
+  order_.insert(order_.end(), tail.begin(), tail.end());
+}
+
+void DataPipeline::park_pending() {
   if (pending_) {
     Pending pending = std::move(*pending_);
     pending_.reset();
@@ -225,7 +230,6 @@ void DataPipeline::extend_epoch_order(const std::vector<std::size_t>& tail) {
       throw;
     }
   }
-  order_.insert(order_.end(), tail.begin(), tail.end());
 }
 
 std::size_t DataPipeline::batches_per_epoch() const {
@@ -667,16 +671,7 @@ guard::Snapshot DataPipeline::snapshot() {
   // accounting has not been applied, so the snapshot cuts cleanly at the
   // last delivered batch and a resumed pipeline re-produces the parked
   // batch from the same range.
-  if (pending_) {
-    Pending pending = std::move(*pending_);
-    pending_.reset();
-    try {
-      ready_ = pending.future.get();
-    } catch (...) {
-      consumed_ = pending.first + pending.count;
-      throw;
-    }
-  }
+  park_pending();
   guard::Snapshot s;
   s.config_fingerprint = config_fingerprint();
   s.epoch = epoch_;

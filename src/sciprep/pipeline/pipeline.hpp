@@ -323,6 +323,10 @@ class DataPipeline {
   /// Cancel and drain an in-flight prefetch, discarding its result. The
   /// abandoned range's failure (if any) is swallowed.
   void abandon_pending();
+  /// Quiesce: complete an in-flight prefetch and park it undelivered in
+  /// ready_. If it failed, its range counts as consumed and the failure
+  /// propagates.
+  void park_pending();
   /// Samples of the next range starting at `at`; 0 at epoch end.
   [[nodiscard]] std::uint64_t take_count(std::uint64_t at) const;
   /// Fetch + decode `index` through the configured path, with fault-injection

@@ -6,7 +6,10 @@
 // per-lane accesses. SimGpu lets kernels be written against exactly those
 // constraints — a kernel is a function over a Warp, lanes are iterated in
 // lockstep order, and the engine accounts bytes moved, lane operations and
-// divergent branches — while actually executing on host threads.
+// divergent branches — while actually executing on host threads. A kernel
+// may also do a warp's work in one host call and charge the lockstep
+// schedule that work would take (count_lockstep / note_divergence), as the
+// codec decoders do: they run the CPU decode body per warp.
 //
 // Timing: the engine measures wall time and the per-kernel traffic counters;
 // PlatformModel::scale_gpu_seconds() converts the measurement to a target
@@ -42,10 +45,16 @@ class Warp {
     ++lockstep_ops_;
   }
 
-  /// Mark a data-dependent branch that splits the warp: on real hardware the
-  /// two paths serialize. Kernels call this when they take per-segment or
-  /// per-line special cases so the stats expose divergence pressure.
-  void note_divergence() noexcept { ++divergent_branches_; }
+  /// Charge `n` lockstep ops, each one `lanes()` worth of 32-lane work,
+  /// without running them lane by lane.
+  void count_lockstep(std::uint64_t n) noexcept { lockstep_ops_ += n; }
+
+  /// Mark `n` data-dependent branches that split the warp: on real hardware
+  /// the two paths serialize. Kernels call this when they take per-segment
+  /// or per-line special cases so the stats expose divergence pressure.
+  void note_divergence(std::uint64_t n = 1) noexcept {
+    divergent_branches_ += n;
+  }
 
   /// Account device-memory traffic attributed to this warp.
   void count_read(std::uint64_t bytes) noexcept { bytes_read_ += bytes; }

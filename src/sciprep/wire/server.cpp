@@ -423,7 +423,9 @@ void WireServer::handle_next(const Socket& conn, long conn_id,
   }
   // This connection owns the tenant (single-consumer), so session state
   // beyond the roster map itself is not raced: only the sweeper touches it,
-  // and the shared lock holds the sweeper out.
+  // and the shared lock holds the sweeper out. The exception is `stats`,
+  // which tenant_stats() reads from other threads under roster_mutex_: every
+  // write to it takes that lock too.
   if (service_.session_state(session->session) ==
       serve::SessionState::kSuspended) {
     // Swept while this consumer was merely slow, not dead: self-heal by
@@ -447,7 +449,10 @@ void WireServer::handle_next(const Socket& conn, long conn_id,
   if (session->retained_valid && next.ack == session->retained_seq) {
     // The previous reply died on the wire (or with the previous consumer
     // process): redeliver the retained frame byte-for-byte.
-    session->stats.resends += 1;
+    {
+      std::lock_guard lock(roster_mutex_);
+      session->stats.resends += 1;
+    }
     resends_total_.add(1);
   } else if (session->ready_valid && next.ack == session->ready_seq) {
     // Promote the read-ahead frame: from here it is committed to the wire,
@@ -467,7 +472,10 @@ void WireServer::handle_next(const Socket& conn, long conn_id,
       std::int64_t produce_ns = 0;
       if (!encode_next_batch(*session, degraded, session->retained,
                              session->retained_seq, produce_ns, encode_ns)) {
-        session->stats.ended = true;
+        {
+          std::lock_guard lock(roster_mutex_);
+          session->stats.ended = true;
+        }
         send_frame(conn, Frame{FrameType::kEnd, 0, {}});
         frames_sent_.add(1);
         return;
@@ -583,6 +591,7 @@ void WireServer::handle_next(const Socket& conn, long conn_id,
                         link);
         }
       } else {
+        std::lock_guard lock(roster_mutex_);
         session->stats.ended = true;
       }
     } catch (const std::exception& e) {
@@ -617,6 +626,7 @@ bool WireServer::encode_next_batch(Session& session, bool degraded, Bytes& out,
   encode_ns = static_cast<std::int64_t>(tracer.now_ns()) - t1;
   seq = session.next_seq;
   session.next_seq += 1;
+  std::lock_guard lock(roster_mutex_);
   session.stats.batches += 1;
   session.stats.samples += payload.batch.samples.size();
   return true;
