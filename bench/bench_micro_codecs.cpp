@@ -162,6 +162,23 @@ void BM_Fp16Convert(benchmark::State& state) {
 }
 BENCHMARK(BM_Fp16Convert);
 
+// The bulk converter the decoders emit through (F16C where the host has it),
+// over the same values as BM_Fp16Convert.
+void BM_Fp16ConvertBulk(benchmark::State& state) {
+  std::vector<float> values(1 << 16);
+  Rng rng(1);
+  for (auto& v : values) v = static_cast<float>(rng.normal() * 100);
+  std::vector<std::uint16_t> bits(values.size());
+  for (auto _ : state) {
+    fp32_to_fp16_n(values.data(), bits.data(), values.size());
+    benchmark::DoNotOptimize(bits.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_Fp16ConvertBulk);
+
 void BM_TfRecordRoundTrip(benchmark::State& state) {
   Bytes payload(1 << 20, 0x5A);
   for (auto _ : state) {

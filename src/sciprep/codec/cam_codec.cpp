@@ -1,6 +1,8 @@
 #include "sciprep/codec/cam_codec.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -76,22 +78,11 @@ std::uint8_t pack_delta(const QDelta& q, int emin) {
   return byte;
 }
 
-float unpack_delta(std::uint8_t byte, int emin) {
-  if (byte == 0x00) return 0.0F;
-  const bool negative = (byte & 0x80) != 0;
-  const int off = (byte >> 4) & 0x07;
-  const int mant = byte & 0x0F;
-  const float magnitude = (1.0F + static_cast<float>(mant) / 16.0F) *
-                          std::ldexp(1.0F, emin + off);
-  return negative ? -magnitude : magnitude;
-}
-
-/// A segment under construction or decoded: pivot plus quantized deltas.
+/// A segment under construction: pivot plus quantized deltas.
 struct Segment {
   std::uint16_t count = 0;  // values covered, including the pivot
   float pivot = 0;
   int emin = 0;
-  std::size_t delta_offset = 0;  // into the line's delta byte array
 };
 
 struct LinePlan {
@@ -155,7 +146,6 @@ LinePlan plan_line(std::span<const float> line, const CamEncodeOptions& opt) {
     seg.count = static_cast<std::uint16_t>(end - seg_start);
     seg.pivot = line[seg_start];
     seg.emin = have_e ? min_e : 0;
-    seg.delta_offset = plan.deltas.size();
     for (const QDelta& q : pending) {
       plan.deltas.push_back(pack_delta(q, seg.emin));
     }
@@ -352,69 +342,144 @@ ParsedCam parse_cam(ByteSpan encoded) {
   return p;
 }
 
-/// Decode one line into `out[x] = emit(value(x))` through an index functor.
-template <class Emit>
-void decode_line(const ParsedLine& line, int width, const ChannelStats& stats,
-                 bool normalize, Emit&& out) {
+/// Reconstructed FP32 values are normalized and converted in blocks of this
+/// many: a fixed stack buffer, never sized by the (untrusted) line width.
+constexpr std::size_t kEmitChunk = 256;
+
+/// Where one decoded line lands: value x goes to `dst[x * stride]`.
+struct LineOut {
+  Half* dst = nullptr;
+  std::size_t stride = 1;  // 1 in CHW, the channel count in HWC
+};
+
+/// Normalize `n` reconstructed values in place and emit them as FP16 to line
+/// positions [x0, x0 + n). The subtract and the multiply stay two roundings,
+/// as in `emit`, so the bits match a per-value emit.
+void emit_chunk(float* vals, std::size_t n, std::size_t x0,
+                const ChannelStats& s, bool normalize, const LineOut& out) {
+  if (normalize) {
+    for (std::size_t i = 0; i < n; ++i) {
+      vals[i] = (vals[i] - s.mean) * s.inv_std;
+    }
+  }
+  std::uint16_t bits[kEmitChunk];
+  fp32_to_fp16_n(vals, bits, n);
+  if (out.stride == 1) {
+    std::memcpy(out.dst + x0, bits, n * sizeof(Half));
+    return;
+  }
+  Half* dst = out.dst + x0 * out.stride;
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i * out.stride] = Half::from_bits(bits[i]);
+  }
+}
+
+/// 1 + mant/16 for the 16 mantissa codes; every entry is exact in FP32.
+constexpr std::array<float, 16> kMantissa = [] {
+  std::array<float, 16> t{};
+  for (int m = 0; m < 16; ++m) t[m] = 1.0F + static_cast<float>(m) / 16.0F;
+  return t;
+}();
+
+/// One delta byte under its segment's signed exponent table `spow2[s << 3 |
+/// off] = (s ? -1 : +1) * 2^(emin + off)`: the value QDelta::value encoded,
+/// (1 + mant/16) * 2^(emin + off) with the byte's sign. Taking the sign from
+/// the table gives the same bits as negating the product (round-to-nearest
+/// is symmetric; an overflow gives -Inf, an underflow -0), and byte 0x00 is
+/// masked to +0.0F without a branch: the signs of deltas are unpredictable.
+inline float delta_value(std::uint8_t byte, const float* spow2) {
+  const float v = kMantissa[byte & 0x0F] * spow2[byte >> 4];
+  const std::uint32_t keep = 0u - static_cast<std::uint32_t>(byte != 0);
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(v) & keep);
+}
+
+/// Decode one delta line. The segment headers are read twice straight from
+/// the body: once to validate them and size the delta bytes, so a hostile
+/// line is rejected before anything is written, then to walk the segments.
+/// The running FP32 sum is scalar, in stream order.
+void decode_delta_line(ByteSpan body, std::size_t width,
+                       const ChannelStats& stats, bool normalize,
+                       const LineOut& out) {
+  ByteReader in(body);
+  const auto seg_count = in.get<std::uint16_t>();
+  std::size_t covered = 0;
+  for (std::uint16_t s = 0; s < seg_count; ++s) {
+    const auto count = in.get<std::uint16_t>();
+    (void)in.get<float>();         // pivot
+    (void)in.get<std::int16_t>();  // emin
+    if (count == 0) {
+      throw_format("cam codec: empty segment");
+    }
+    covered += count;
+  }
+  if (covered != width) {
+    throw_format("cam codec: segments cover {} of {} values", covered, width);
+  }
+  const ByteSpan deltas = in.get_bytes(covered - seg_count);
+  if (!in.done()) {
+    throw_format("cam codec: trailing bytes in delta line");
+  }
+
+  ByteReader headers(body.subspan(sizeof(std::uint16_t)));
+  const std::uint8_t* next = deltas.data();
+  float chunk[kEmitChunk];
+  std::size_t n = 0;
+  std::size_t x0 = 0;
+  for (std::uint16_t s = 0; s < seg_count; ++s) {
+    const auto count = headers.get<std::uint16_t>();
+    float recon = headers.get<float>();  // FP32 reconstruction (paper §V.A)
+    const int emin = headers.get<std::int16_t>();
+    float spow2[16];
+    for (int off = 0; off < 8; ++off) {
+      spow2[off] = std::ldexp(1.0F, emin + off);
+      spow2[8 + off] = -spow2[off];
+    }
+    for (std::uint16_t i = 0; i < count; ++i) {
+      if (i > 0) recon += delta_value(*next++, spow2);
+      chunk[n++] = recon;
+      if (n == kEmitChunk) {
+        emit_chunk(chunk, n, x0, stats, normalize, out);
+        x0 += n;
+        n = 0;
+      }
+    }
+  }
+  emit_chunk(chunk, n, x0, stats, normalize, out);
+}
+
+/// Decode one line of `width` values into `out`.
+void decode_line(const ParsedLine& line, std::size_t width,
+                 const ChannelStats& stats, bool normalize,
+                 const LineOut& out) {
   switch (line.mode) {
     case kModeConstant: {
       ByteReader in(line.body);
-      const float v = in.get<float>();
-      const Half h = emit(v, stats, normalize);
-      for (int x = 0; x < width; ++x) {
-        out(x, h);
+      const Half h = emit(in.get<float>(), stats, normalize);
+      for (std::size_t x = 0; x < width; ++x) {
+        out.dst[x * out.stride] = h;
       }
       break;
     }
     case kModeRaw16: {
-      if (line.body.size() != static_cast<std::size_t>(width) * 2) {
+      if (line.body.size() != width * 2) {
         throw_format("cam codec: raw line has {} bytes for width {}",
                      line.body.size(), width);
       }
-      for (int x = 0; x < width; ++x) {
+      // Already normalized at encode time: copy the FP16 bits through.
+      if (out.stride == 1) {
+        std::memcpy(out.dst, line.body.data(), width * 2);
+        break;
+      }
+      for (std::size_t x = 0; x < width; ++x) {
         std::uint16_t bits;
-        std::memcpy(&bits, line.body.data() + static_cast<std::size_t>(x) * 2,
-                    2);
-        out(x, Half::from_bits(bits));  // already normalized at encode time
+        std::memcpy(&bits, line.body.data() + x * 2, 2);
+        out.dst[x * out.stride] = Half::from_bits(bits);
       }
       break;
     }
-    case kModeDelta: {
-      ByteReader in(line.body);
-      const auto seg_count = in.get<std::uint16_t>();
-      std::vector<Segment> segs(seg_count);
-      std::size_t covered = 0;
-      std::size_t delta_total = 0;
-      for (auto& s : segs) {
-        s.count = in.get<std::uint16_t>();
-        s.pivot = in.get<float>();
-        s.emin = in.get<std::int16_t>();
-        if (s.count == 0) {
-          throw_format("cam codec: empty segment");
-        }
-        s.delta_offset = delta_total;
-        covered += s.count;
-        delta_total += s.count - 1u;
-      }
-      if (covered != static_cast<std::size_t>(width)) {
-        throw_format("cam codec: segments cover {} of {} values", covered,
-                     width);
-      }
-      const ByteSpan deltas = in.get_bytes(delta_total);
-      if (!in.done()) {
-        throw_format("cam codec: trailing bytes in delta line");
-      }
-      int x = 0;
-      for (const Segment& s : segs) {
-        float recon = s.pivot;  // FP32 reconstruction, FP16 emit (paper §V.A)
-        out(x++, emit(recon, stats, normalize));
-        for (std::uint16_t i = 0; i + 1 < s.count; ++i) {
-          recon += unpack_delta(deltas[s.delta_offset + i], s.emin);
-          out(x++, emit(recon, stats, normalize));
-        }
-      }
+    case kModeDelta:
+      decode_delta_line(line.body, width, stats, normalize, out);
       break;
-    }
     default:
       throw_format("cam codec: bad line mode {}", line.mode);
   }
@@ -440,19 +505,12 @@ void decode_line_into(const ParsedCam& p, std::size_t line_id, Half* values,
   const auto height = static_cast<std::size_t>(p.height);
   const auto width = static_cast<std::size_t>(p.width);
   const std::size_t c = line_id / height;
-  const ParsedLine& line = p.lines[line_id];
-  const ChannelStats& cs = p.stats[c];
-  if (chw) {
-    Half* dst = values + line_id * width;
-    decode_line(line, p.width, cs, p.normalize,
-                [dst](int x, Half h) { dst[x] = h; });
-  } else {
-    const auto stride = static_cast<std::size_t>(p.channels);
-    Half* base = values + (line_id % height) * width * stride + c;
-    decode_line(line, p.width, cs, p.normalize, [base, stride](int x, Half h) {
-      base[static_cast<std::size_t>(x) * stride] = h;
-    });
-  }
+  const auto channels = static_cast<std::size_t>(p.channels);
+  const LineOut out =
+      chw ? LineOut{values + line_id * width, 1}
+          : LineOut{values + (line_id % height) * width * channels + c,
+                    channels};
+  decode_line(p.lines[line_id], width, p.stats[c], p.normalize, out);
 }
 
 /// SimGpu cost of one line decoded by one warp, charged by arithmetic, not

@@ -2,6 +2,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#endif
 
 namespace sciprep {
 
@@ -9,6 +14,40 @@ namespace {
 constexpr std::uint32_t kF32SignMask = 0x8000'0000u;
 constexpr int kF32ExpBias = 127;
 constexpr int kF16ExpBias = 15;
+
+// Hardware FP32->FP16: F16C's vcvtps2ph with an immediate round-to-nearest-
+// even mode rounds, saturates to Inf, keeps denormals and quiets NaNs exactly
+// as fp32_to_fp16_bits does. Detected once at startup; the scalar loop is the
+// fallback and the two produce identical bits.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define SCIPREP_FP16_F16C 1
+
+__attribute__((target("avx2,f16c"))) void fp32_to_fp16_f16c(
+    const float* src, std::uint16_t* dst, std::size_t n) noexcept {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i h = _mm256_cvtps_ph(_mm256_loadu_ps(src + i),
+                                      _MM_FROUND_TO_NEAREST_INT);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), h);
+  }
+  if (i < n) {  // tail: convert through a zero-padded 8-lane buffer
+    float in[8] = {};
+    std::uint16_t out[8] = {};
+    std::memcpy(in, src + i, (n - i) * sizeof(float));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                     _mm256_cvtps_ph(_mm256_loadu_ps(in),
+                                     _MM_FROUND_TO_NEAREST_INT));
+    std::memcpy(dst + i, out, (n - i) * sizeof(std::uint16_t));
+  }
+}
+
+bool f16c_available() noexcept {
+  static const bool available =
+      __builtin_cpu_supports("f16c") && __builtin_cpu_supports("avx2");
+  return available;
+}
+#endif
+
 }  // namespace
 
 std::uint16_t fp32_to_fp16_bits(float value) noexcept {
@@ -66,6 +105,21 @@ std::uint16_t fp32_to_fp16_bits(float value) noexcept {
     ++rounded;  // may round up into the smallest normal, which is correct
   }
   return static_cast<std::uint16_t>(sign | rounded);
+}
+
+void detail::fp32_to_fp16_n_scalar(const float* src, std::uint16_t* dst,
+                                   std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = fp32_to_fp16_bits(src[i]);
+  }
+}
+
+void fp32_to_fp16_n(const float* src, std::uint16_t* dst,
+                    std::size_t n) noexcept {
+#ifdef SCIPREP_FP16_F16C
+  if (f16c_available()) return fp32_to_fp16_f16c(src, dst, n);
+#endif
+  detail::fp32_to_fp16_n_scalar(src, dst, n);
 }
 
 float fp16_bits_to_fp32(std::uint16_t bits) noexcept {

@@ -7,6 +7,7 @@
 #include <numbers>
 
 #include "sciprep/codec/cam_codec.hpp"
+#include "sciprep/common/crc.hpp"
 #include "sciprep/common/error.hpp"
 #include "sciprep/common/rng.hpp"
 #include "sciprep/data/cam_gen.hpp"
@@ -122,6 +123,68 @@ TEST(CamCodec, HwcLayoutIsTransposedChw) {
   const TensorF16 hwc_gpu = hwc_codec.decode_gpu(encoded, gpu);
   for (std::size_t i = 0; i < hwc.values.size(); ++i) {
     ASSERT_EQ(hwc.values[i].bits(), hwc_gpu.values[i].bits());
+  }
+}
+
+/// One decode whose output bytes are pinned: the sample, the options, and
+/// the CRC32C of the FP16 values and of the byte labels.
+struct PinnedDecode {
+  const char* name;
+  int height;
+  int width;
+  int channels;
+  std::uint64_t seed;
+  bool normalize;
+  CamLayout layout;
+  std::uint32_t values_crc;
+  std::uint32_t labels_crc;
+};
+
+// The digests were recorded from a build of the commit before the decode
+// body moved to a per-segment exponent table and bulk FP16 emit, so any
+// change in the shared decode body (which the CPU-vs-SimGpu comparisons
+// cannot see, since both drivers run it) fails here. They depend on the
+// generator's libm calls as well as on the codec.
+constexpr PinnedDecode kPinnedDecodes[] = {
+    {"chw-normalized", 64, 96, 4, 99, true, CamLayout::kCHW,
+     0xa5831a38, 0x3a36e441},
+    {"hwc-normalized", 64, 96, 4, 99, true, CamLayout::kHWC,
+     0x9f51f9b8, 0x3a36e441},
+    {"chw-raw-scale", 64, 96, 4, 99, false, CamLayout::kCHW,
+     0xc8999dbb, 0x3a36e441},
+    {"hwc-raw-scale", 64, 96, 4, 99, false, CamLayout::kHWC,
+     0xa840665c, 0x3a36e441},
+    {"wide-lines", 8, 600, 3, 7, true, CamLayout::kCHW,
+     0xf96cf901, 0x30ff4aaf},
+    {"wide-lines-hwc", 8, 600, 3, 7, false, CamLayout::kHWC,
+     0x332f3f2e, 0x30ff4aaf},
+    {"small", 8, 9, 2, 11, true, CamLayout::kHWC,
+     0xc9453641, 0xc354eda8},
+};
+
+TEST(CamCodec, DecodeMatchesPinnedDigests) {
+  for (const PinnedDecode& pin : kPinnedDecodes) {
+    data::CamGenConfig cfg;
+    cfg.height = pin.height;
+    cfg.width = pin.width;
+    cfg.channels = pin.channels;
+    cfg.seed = pin.seed;
+    const CamCodec codec({.normalize = pin.normalize}, {pin.layout});
+    const Bytes encoded =
+        codec.encode_sample(data::CamGenerator(cfg).generate(0));
+    if (pin.width > 256) {  // delta lines span several emit chunks
+      EXPECT_GT(CamCodec::inspect(encoded).delta_lines, 0u) << pin.name;
+    }
+    const TensorF16 decoded = codec.decode_cpu(encoded);
+    const std::uint32_t values_crc =
+        crc32c(ByteSpan(reinterpret_cast<const std::uint8_t*>(
+                            decoded.values.data()),
+                        decoded.values.size() * sizeof(Half)));
+    const std::uint32_t labels_crc = crc32c(ByteSpan(decoded.byte_labels));
+    EXPECT_EQ(values_crc, pin.values_crc)
+        << pin.name << std::hex << ": values crc 0x" << values_crc;
+    EXPECT_EQ(labels_crc, pin.labels_crc)
+        << pin.name << std::hex << ": labels crc 0x" << labels_crc;
   }
 }
 

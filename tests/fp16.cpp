@@ -1,12 +1,16 @@
-// Unit and property tests for the software binary16 implementation.
+// Unit and property tests for the binary16 implementation: the scalar
+// conversions, and the bulk converter's agreement with them on every input.
 #include "sciprep/common/fp16.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "sciprep/common/rng.hpp"
 
@@ -120,6 +124,85 @@ TEST(Fp16Property, MonotoneOverPositiveRange) {
     }
     prev_x = x;
     prev_bits = bits;
+  }
+}
+
+/// Mismatches of the bulk converter against fp32_to_fp16_bits over the bit
+/// patterns [first, first + count), and the first one seen.
+struct BulkScan {
+  std::uint64_t mismatches = 0;
+  std::uint32_t first_bad = 0;
+};
+
+BulkScan scan_bulk(std::uint64_t first, std::uint64_t count) {
+  constexpr std::size_t kBlock = 4096;
+  std::array<float, kBlock> src;
+  std::array<std::uint16_t, kBlock> dst;
+  BulkScan scan;
+  for (std::uint64_t base = first; base < first + count; base += kBlock) {
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      src[i] = std::bit_cast<float>(static_cast<std::uint32_t>(base + i));
+    }
+    fp32_to_fp16_n(src.data(), dst.data(), kBlock);
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      if (dst[i] != fp32_to_fp16_bits(src[i])) {
+        if (scan.mismatches++ == 0) {
+          scan.first_bad = static_cast<std::uint32_t>(base + i);
+        }
+      }
+    }
+  }
+  return scan;
+}
+
+// Exhaustive: the bulk converter (F16C where the host has it) produces the
+// scalar reference's bits for all 2^32 binary32 inputs, NaN payloads,
+// denormals, ties and overflow included. Split over a few threads so it
+// stays well under a minute.
+TEST(Fp16Bulk, MatchesScalarOnEveryFloat) {
+  constexpr std::uint64_t kAll = std::uint64_t{1} << 32;
+  constexpr unsigned kThreads = 4;
+  std::array<BulkScan, kThreads> scans;
+  std::vector<std::thread> workers;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&scans, t] {
+      scans[t] = scan_bulk(kAll / kThreads * t, kAll / kThreads);
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (const BulkScan& scan : scans) {
+    EXPECT_EQ(scan.mismatches, 0u)
+        << "first mismatch at f32 bits 0x" << std::hex << scan.first_bad;
+  }
+}
+
+// Short and odd lengths take the vector loop's tail; both the dispatched
+// converter and the scalar fallback (called directly, whatever this host
+// supports) must write exactly n values and match the per-value reference.
+TEST(Fp16Bulk, EveryLengthAndTheScalarFallbackAgree) {
+  Rng rng(16);
+  std::vector<float> src(300);
+  for (float& v : src) {
+    v = std::bit_cast<float>(static_cast<std::uint32_t>(rng.next_u64()));
+  }
+  src[0] = 65520.0F;  // a tie that rounds up to Inf
+  src[1] = std::numeric_limits<float>::quiet_NaN();
+  src[2] = 0x1.0p-25F;  // a tie that rounds to zero
+  constexpr std::uint16_t kGuard = 0xDEAD;
+  for (const std::size_t n : {0, 1, 7, 8, 9, 257}) {
+    for (const bool scalar : {false, true}) {
+      std::vector<std::uint16_t> dst(n + 1, kGuard);
+      if (scalar) {
+        detail::fp32_to_fp16_n_scalar(src.data(), dst.data(), n);
+      } else {
+        fp32_to_fp16_n(src.data(), dst.data(), n);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(dst[i], fp32_to_fp16_bits(src[i]))
+            << "n=" << n << " i=" << i << (scalar ? " scalar" : " dispatched");
+      }
+      EXPECT_EQ(dst[n], kGuard) << "n=" << n << " wrote past the end";
+    }
   }
 }
 
