@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
           Named{"gpu-plugin", &gpu.profile}}) {
       const auto b = sim::model_step(scenario, *cfg.profile);
       std::printf(
-          "%-10s %-11s | %-9.2f %-9.2f | %-7.2f %-9.2f %-9.2f %-9.2f | "
+          "%-10s %-11s | %-9.2f %-9.2f | %-7.2f %-9.3f %-9.2f %-9.2f | "
           "%-9.2f\n",
           platform.name.c_str(), cfg.name, b.io_read * 1e3, b.host_work * 1e3,
           b.h2d * 1e3, b.gpu_decode * 1e3, b.gpu_compute * 1e3,

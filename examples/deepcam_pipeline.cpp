@@ -10,6 +10,7 @@
 #include "sciprep/codec/codec.hpp"
 #include "sciprep/data/cam_gen.hpp"
 #include "sciprep/pipeline/pipeline.hpp"
+#include "sciprep/sim/platform.hpp"
 
 int main(int argc, char** argv) {
   using namespace sciprep;
@@ -87,7 +88,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(gs.warps),
               static_cast<unsigned long long>(gs.divergent_branches),
               format_bytes(gs.bytes_total()).c_str());
-  std::printf("decode kernel is %s-bound on the engine\n",
-              gs.bandwidth_bound() ? "bandwidth" : "compute/divergence");
+  std::printf("modeled V100 decode (Table I roofline over these counts): "
+              "%.2f us for the run\n",
+              sim::cori_v100().gpu_kernel_seconds(gs) * 1e6);
   return 0;
 }

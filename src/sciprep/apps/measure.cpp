@@ -21,58 +21,6 @@ double now_seconds() {
       .count();
 }
 
-/// Calibrate the SimGpu throughput proxies once: a pure copy kernel sets the
-/// effective "device memory bandwidth" of the engine on this host, an
-/// arithmetic kernel sets its "FLOP rate". scale_gpu_seconds then maps any
-/// measured kernel wall time onto a target GPU proportionally.
-void calibrate_simgpu_once() {
-  static const bool done = [] {
-    sim::SimGpu gpu({.sm_count = 80, .warps_per_sm = 8});
-    constexpr std::size_t kValues = 8 * 1024 * 1024;
-    std::vector<float> src(kValues, 1.5F);
-    std::vector<float> dst(kValues);
-    const double t0 = now_seconds();
-    gpu.launch(kValues / (sim::Warp::kLanes * 64), [&](sim::Warp& warp) {
-      const std::size_t base = warp.id() * sim::Warp::kLanes * 64;
-      for (int rep = 0; rep < 64; ++rep) {
-        warp.lanes([&](int lane) {
-          const std::size_t i = base +
-                                static_cast<std::size_t>(rep) *
-                                    sim::Warp::kLanes +
-                                static_cast<std::size_t>(lane);
-          dst[i] = src[i];
-        });
-      }
-      warp.count_read(sim::Warp::kLanes * 64 * sizeof(float));
-      warp.count_write(sim::Warp::kLanes * 64 * sizeof(float));
-    });
-    const double copy_wall = std::max(1e-6, now_seconds() - t0);
-    const double bytes = 2.0 * kValues * sizeof(float);
-
-    std::vector<float> acc(sim::Warp::kLanes, 0.0F);
-    const double t1 = now_seconds();
-    constexpr std::size_t kMulWarps = 4096;
-    constexpr int kMulReps = 256;
-    gpu.launch(kMulWarps, [&](sim::Warp& warp) {
-      float local[sim::Warp::kLanes] = {};
-      for (int rep = 0; rep < kMulReps; ++rep) {
-        warp.lanes([&](int lane) {
-          local[lane] = local[lane] * 1.000001F + 0.5F;
-        });
-      }
-      warp.lanes([&](int lane) { acc[static_cast<std::size_t>(lane)] += local[lane]; });
-    });
-    const double mul_wall = std::max(1e-6, now_seconds() - t1);
-    const double flops = 2.0 * kMulWarps * kMulReps * sim::Warp::kLanes;
-
-    sim::HostCalibration& cal = sim::host_calibration();
-    cal.effective_gpu_tbps = bytes / copy_wall / 1e12;
-    cal.effective_gpu_tflops = flops / mul_wall / 1e12;
-    return true;
-  }();
-  (void)done;
-}
-
 /// The baseline and gzip paths in the real benchmarks run through the
 /// framework input pipelines (Python, h5py, tf.data) rather than tight C++;
 /// their per-sample CPU cost is several times what this repository's
@@ -90,6 +38,24 @@ double time_call(F&& f, int repeat) {
     f(i);
   }
   return (now_seconds() - t0) / repeat;
+}
+
+/// Per-sample SimGpu counts of the GPU decode: each sample is decoded once
+/// and the engine's lifetime counts are divided by the sample count (rounded
+/// down). Nothing is timed; wall_seconds stays 0.
+sim::KernelStats gpu_decode_counts(const codec::SampleCodec& codec,
+                                   const std::vector<Bytes>& encoded) {
+  sim::SimGpu gpu({.sm_count = 80, .warps_per_sm = 8});
+  for (const Bytes& sample : encoded) {
+    (void)codec.decode_gpu(sample, gpu);
+  }
+  const sim::KernelStats& total = gpu.lifetime_stats();
+  const std::uint64_t n = encoded.size();
+  return {.warps = total.warps / n,
+          .bytes_read = total.bytes_read / n,
+          .bytes_written = total.bytes_written / n,
+          .lockstep_ops = total.lockstep_ops / n,
+          .divergent_branches = total.divergent_branches / n};
 }
 
 }  // namespace
@@ -116,7 +82,6 @@ MeasuredWorkload measure_cosmo(LoaderConfig config, int dim, int repeat,
         "{{\"config\": \"{}\", \"dim\": {}, \"repeat\": {}}}",
         loader_config_name(config), dim, repeat));
   }
-  calibrate_simgpu_once();
   data::CosmoGenConfig gen_cfg;
   gen_cfg.dim = dim;
   gen_cfg.seed = seed;
@@ -193,14 +158,7 @@ MeasuredWorkload measure_cosmo(LoaderConfig config, int dim, int repeat,
       p.bytes_at_rest = encoded.front().size();
       p.bytes_to_device = encoded.front().size();  // decode after transfer
       p.host_seconds = 2e-4;  // file handoff only
-      sim::SimGpu gpu({.sm_count = 80, .warps_per_sm = 8});
-      p.gpu_decode_host_seconds = time_call(
-          [&](int i) {
-            (void)codec.decode_gpu(
-                encoded[static_cast<std::size_t>(i % repeat)], gpu);
-          },
-          repeat);
-      p.gpu_decode_bandwidth_bound = gpu.lifetime_stats().bandwidth_bound();
+      p.gpu_decode_stats = gpu_decode_counts(codec, encoded);
       break;
     }
   }
@@ -218,7 +176,6 @@ MeasuredWorkload measure_cam(LoaderConfig config, int height, int width,
         "\"channels\": {}, \"repeat\": {}}}",
         loader_config_name(config), height, width, channels, repeat));
   }
-  calibrate_simgpu_once();
   if (config == LoaderConfig::kGzip) {
     throw ConfigError(
         "deepcam has no gzip baseline in the paper's evaluation");
@@ -278,14 +235,7 @@ MeasuredWorkload measure_cam(LoaderConfig config, int height, int width,
       p.bytes_at_rest = encoded.front().size();
       p.bytes_to_device = encoded.front().size();
       p.host_seconds = 2e-4;
-      sim::SimGpu gpu({.sm_count = 80, .warps_per_sm = 8});
-      p.gpu_decode_host_seconds = time_call(
-          [&](int i) {
-            (void)codec.decode_gpu(
-                encoded[static_cast<std::size_t>(i % repeat)], gpu);
-          },
-          repeat);
-      p.gpu_decode_bandwidth_bound = gpu.lifetime_stats().bandwidth_bound();
+      p.gpu_decode_stats = gpu_decode_counts(codec, encoded);
       break;
     }
     case LoaderConfig::kGzip:

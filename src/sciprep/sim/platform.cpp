@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sciprep/sim/simgpu.hpp"
+
 namespace sciprep::sim {
 
 namespace {
@@ -65,15 +67,13 @@ double PlatformModel::transfer_seconds(Link link, std::size_t bytes) const {
   return kLatency + static_cast<double>(bytes) / (gibps * kGiB);
 }
 
-double PlatformModel::scale_gpu_seconds(double host_seconds,
-                                        bool bandwidth_bound) const {
-  const HostCalibration& cal = host_calibration();
-  if (bandwidth_bound) {
-    const double target_tbps = gpu.mem_bandwidth_tbps;
-    return host_seconds * (cal.effective_gpu_tbps / target_tbps);
-  }
-  const double target_tflops = gpu.fp32_tflops;
-  return host_seconds * (cal.effective_gpu_tflops / target_tflops);
+double PlatformModel::gpu_kernel_seconds(const KernelStats& stats) const {
+  const double memory = static_cast<double>(stats.bytes_total()) /
+                        (gpu.mem_bandwidth_tbps * 1e12);
+  const double lane_ops =
+      static_cast<double>(stats.lockstep_ops + stats.divergent_branches) *
+      Warp::kLanes;
+  return std::max(memory, lane_ops / (gpu.fp32_tflops * 1e12));
 }
 
 double PlatformModel::scale_cpu_seconds(double host_seconds) const {
@@ -135,11 +135,6 @@ PlatformModel cori_a100() {
 
 std::vector<PlatformModel> all_platforms() {
   return {summit(), cori_v100(), cori_a100()};
-}
-
-HostCalibration& host_calibration() {
-  static HostCalibration cal;
-  return cal;
 }
 
 }  // namespace sciprep::sim

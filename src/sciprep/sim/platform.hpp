@@ -3,10 +3,11 @@
 // The paper's speedups are governed by where bytes sit and which link they
 // must cross. Each PlatformModel carries the Table I hardware parameters plus
 // the measured pageable-PCIe bandwidth curve quoted in §IX.A, and converts
-// (bytes, link) into seconds. GPU kernel and CPU preprocessing times measured
-// live on the build host are rescaled by the platform's relative compute
-// factors, so benches reproduce cross-platform *shape* rather than absolute
-// testbed numbers (see DESIGN.md §2, §5).
+// (bytes, link) into seconds. A GPU kernel is charged from its SimGpu counts
+// by a roofline over Table I; CPU preprocessing times measured live on the
+// build host are rescaled by the platform's relative CPU factor, so benches
+// reproduce cross-platform *shape* rather than absolute testbed numbers (see
+// DESIGN.md §2, §5).
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,8 @@
 #include <vector>
 
 namespace sciprep::sim {
+
+struct KernelStats;  // simgpu.hpp
 
 /// Which link a transfer crosses (Figure 1's numbered hops).
 enum class Link {
@@ -68,11 +71,11 @@ struct PlatformModel {
   /// shared-link bandwidth across concurrent GPUs where applicable).
   [[nodiscard]] double transfer_seconds(Link link, std::size_t bytes) const;
 
-  /// Scale a GPU kernel duration measured on the build host to this GPU.
-  /// `bytes_touched` selects bandwidth-bound scaling; compute-bound kernels
-  /// scale with SM count x frequency proxy (fp32 TFLOPs).
-  [[nodiscard]] double scale_gpu_seconds(double host_seconds,
-                                         bool bandwidth_bound) const;
+  /// Seconds this GPU spends on a kernel with `stats`' counts: a roofline,
+  /// the larger of the bytes moved at HBM bandwidth and the lane ops at
+  /// FP32 throughput. Each divergent branch serializes one more lockstep op
+  /// of 32 lanes. `stats.wall_seconds` is ignored.
+  [[nodiscard]] double gpu_kernel_seconds(const KernelStats& stats) const;
 
   /// Scale a CPU duration measured on the build host to this platform.
   [[nodiscard]] double scale_cpu_seconds(double host_seconds) const;
@@ -83,14 +86,5 @@ PlatformModel summit();
 PlatformModel cori_v100();
 PlatformModel cori_a100();
 std::vector<PlatformModel> all_platforms();
-
-/// Reference compute throughput of the host that *measures* kernels; used as
-/// the denominator in scale_*_seconds. Calibrated once at startup.
-struct HostCalibration {
-  double cpu_gflops = 8.0;       // single-core proxy on the build host
-  double effective_gpu_tflops = 0.05;  // SimGpu throughput proxy
-  double effective_gpu_tbps = 0.02;    // SimGpu memory throughput proxy
-};
-HostCalibration& host_calibration();
 
 }  // namespace sciprep::sim

@@ -37,10 +37,7 @@ StepBreakdown model_step(const StepScenario& scenario,
   b.h2d = plat.transfer_seconds(Link::kHostToDevice, batch_bytes) *
           plat.h2d_share / static_cast<double>(scenario.batch_size);
 
-  if (workload.gpu_decode_host_seconds > 0) {
-    b.gpu_decode = plat.scale_gpu_seconds(workload.gpu_decode_host_seconds,
-                                          workload.gpu_decode_bandwidth_bound);
-  }
+  b.gpu_decode = plat.gpu_kernel_seconds(workload.gpu_decode_stats);
 
   // Effective mixed-precision throughput: geometric mean of FP32 and
   // tensor-core peaks (see WorkloadProfile::model_flop_efficiency).

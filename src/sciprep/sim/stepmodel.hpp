@@ -13,15 +13,18 @@
 // breakdown records each component so the Fig 9/12 stacked profiles fall out
 // of the same model.
 //
-// Host/GPU work is *measured* on the build host (see apps/measure) and
-// rescaled by the PlatformModel factors; transfers and residency come from
-// Table I. See DESIGN.md §5.
+// Host work is *measured* on the build host (see apps/measure) and rescaled
+// by the platform's CPU factor. GPU decode is charged from the per-sample
+// SimGpu counts by PlatformModel::gpu_kernel_seconds, so it is exact and the
+// same on every host. Transfers and residency come from Table I. See
+// DESIGN.md §5.
 #pragma once
 
 #include <algorithm>
 
 #include "sciprep/sim/memhier.hpp"
 #include "sciprep/sim/platform.hpp"
+#include "sciprep/sim/simgpu.hpp"
 
 namespace sciprep::sim {
 
@@ -30,8 +33,7 @@ struct WorkloadProfile {
   std::uint64_t bytes_at_rest = 0;     // stored size per sample
   std::uint64_t bytes_to_device = 0;   // H2D payload per sample
   double host_seconds = 0;             // CPU work per sample on the build host
-  double gpu_decode_host_seconds = 0;  // SimGpu wall per sample (0 = no GPU decode)
-  bool gpu_decode_bandwidth_bound = true;
+  KernelStats gpu_decode_stats;        // SimGpu counts per sample (0 = no GPU decode)
   double model_train_flops = 0;        // fwd+bwd FLOPs per sample
   /// Achieved fraction of the GPU's effective mixed-precision throughput
   /// (the geometric mean of its FP32 and tensor-core peaks — small-batch

@@ -205,7 +205,9 @@ TEST(Measure, CosmoProfilesHaveExpectedStructure) {
   EXPECT_GT(gz.profile.host_seconds, base.profile.host_seconds);
   EXPECT_LT(cpu.profile.host_seconds, base.profile.host_seconds);
   EXPECT_LT(gpu.profile.host_seconds, cpu.profile.host_seconds);
-  EXPECT_GT(gpu.profile.gpu_decode_host_seconds, 0.0);
+  EXPECT_GT(gpu.profile.gpu_decode_stats.bytes_total(), 0u);
+  EXPECT_GT(gpu.profile.gpu_decode_stats.lockstep_ops, 0u);
+  EXPECT_EQ(cpu.profile.gpu_decode_stats.bytes_total(), 0u);
 }
 
 TEST(Measure, CamProfilesHaveExpectedStructure) {
@@ -215,8 +217,37 @@ TEST(Measure, CamProfilesHaveExpectedStructure) {
   EXPECT_GT(cpu.compression_ratio, 2.0);
   EXPECT_EQ(base.profile.bytes_to_device, cpu.profile.bytes_to_device * 2);
   EXPECT_LT(gpu.profile.bytes_to_device, cpu.profile.bytes_to_device);
-  EXPECT_GT(gpu.profile.gpu_decode_host_seconds, 0.0);
+  EXPECT_GT(gpu.profile.gpu_decode_stats.bytes_total(), 0u);
+  EXPECT_GT(gpu.profile.gpu_decode_stats.lockstep_ops, 0u);
+  EXPECT_GT(gpu.profile.gpu_decode_stats.divergent_branches, 0u);
   EXPECT_THROW(measure_cam(LoaderConfig::kGzip, 96, 144, 16, 1, 1), ConfigError);
+}
+
+// The modeled GPU-plugin decode is charged from SimGpu counts, so two
+// measurements of the same samples give bit-identical model outputs on every
+// platform (the host-timed arms are not in these profiles).
+TEST(Measure, GpuPluginModelIsExactAcrossRuns) {
+  const MeasuredWorkload runs[][2] = {
+      {measure_cam(LoaderConfig::kGpuPlugin, 96, 144, 16, 2, 503),
+       measure_cam(LoaderConfig::kGpuPlugin, 96, 144, 16, 2, 503)},
+      {measure_cosmo(LoaderConfig::kGpuPlugin, 32, 2, 503),
+       measure_cosmo(LoaderConfig::kGpuPlugin, 32, 2, 503)},
+  };
+  for (const auto& pair : runs) {
+    for (const sim::PlatformModel& platform : sim::all_platforms()) {
+      sim::StepScenario scenario;
+      scenario.platform = platform;
+      scenario.samples_per_node = 1536;
+      scenario.staged = true;
+      const auto a = sim::model_step(scenario, pair[0].profile);
+      const auto b = sim::model_step(scenario, pair[1].profile);
+      EXPECT_GT(a.gpu_decode, 0.0) << platform.name;
+      EXPECT_EQ(a.gpu_decode, b.gpu_decode) << platform.name;
+      EXPECT_EQ(sim::node_samples_per_second(scenario, a),
+                sim::node_samples_per_second(scenario, b))
+          << platform.name;
+    }
+  }
 }
 
 // The paper's qualitative results must fall out of the step model when fed
@@ -231,7 +262,11 @@ TEST(StepModel, PluginBeatsBaselineAndBaselineIsPcieBound) {
     p.bytes_at_rest = static_cast<std::uint64_t>(p.bytes_at_rest * scale);
     p.bytes_to_device = static_cast<std::uint64_t>(p.bytes_to_device * scale);
     p.host_seconds *= scale;
-    p.gpu_decode_host_seconds *= scale;
+    sim::KernelStats& g = p.gpu_decode_stats;
+    for (std::uint64_t* count : {&g.bytes_read, &g.bytes_written,
+                                 &g.lockstep_ops, &g.divergent_branches}) {
+      *count = static_cast<std::uint64_t>(*count * scale);
+    }
     p.model_train_flops *= scale;
     return p;
   };
@@ -283,7 +318,7 @@ TEST(StepModel, BreakdownComponentsAreConsistent) {
   p.bytes_at_rest = 4 * 1024 * 1024;
   p.bytes_to_device = 8 * 1024 * 1024;
   p.host_seconds = 2e-3;
-  p.gpu_decode_host_seconds = 1e-3;
+  p.gpu_decode_stats.bytes_read = 40'000'000;
   p.model_train_flops = 2e11;
 
   sim::StepScenario scenario;

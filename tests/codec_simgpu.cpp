@@ -1,7 +1,7 @@
-// Pins the SimGpu cost accounting of both codecs' decode_gpu. PlatformModel
-// turns these counters (through KernelStats::bandwidth_bound) into the
-// modeled GPU-plugin numbers of Fig 8/10/11, so a change to how a kernel is
-// scheduled or charged must show up here, not silently in a figure. The
+// Pins the SimGpu cost accounting of both codecs' decode_gpu. PlatformModel::
+// gpu_kernel_seconds turns these counters into the modeled GPU-plugin
+// numbers of Figs 8-12, so a change to how a kernel is scheduled or charged
+// must show up here, not silently in a figure. The
 // samples are small and hand-built so that every CAM line mode (constant,
 // raw16, delta with several segments) and every Cosmo stream kind (raw keys
 // of width 1 and 2, run-length blocks) is charged.
@@ -12,6 +12,7 @@
 #include "sciprep/codec/cam_codec.hpp"
 #include "sciprep/codec/cosmo_codec.hpp"
 #include "sciprep/common/rng.hpp"
+#include "sciprep/sim/platform.hpp"
 #include "sciprep/sim/simgpu.hpp"
 
 namespace sciprep::codec {
@@ -111,6 +112,19 @@ TEST(SimGpuAccounting, CamChw) {
                 .bytes_written = 2520,
                 .lockstep_ops = 69,
                 .divergent_branches = 25});
+}
+
+// The modeled decode seconds of the pinned CHW sample, in closed form over
+// Table I: 3923 bytes on HBM outweigh 69 + 25 lockstep ops of 32 lanes.
+TEST(SimGpuAccounting, CamChwModeledSecondsAreClosedForm) {
+  const CamCodec codec;
+  sim::SimGpu gpu({.sm_count = 2, .warps_per_sm = 2});
+  (void)codec.decode_gpu(codec.encode_sample(cam_sample()), gpu);
+  const sim::KernelStats& s = gpu.lifetime_stats();
+  EXPECT_DOUBLE_EQ(sim::cori_v100().gpu_kernel_seconds(s),
+                   (1403.0 + 2520.0) / 0.9e12);
+  EXPECT_DOUBLE_EQ(sim::cori_a100().gpu_kernel_seconds(s),
+                   (1403.0 + 2520.0) / 1.6e12);
 }
 
 TEST(SimGpuAccounting, CamHwc) {

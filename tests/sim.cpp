@@ -1,6 +1,7 @@
 // Tests for the platform / memory-hierarchy / SimGpu substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 
@@ -67,16 +68,59 @@ TEST(Platform, TransferSecondsScalesWithBytes) {
             v.transfer_seconds(Link::kNvmeToHost, 64 * kMiB));
 }
 
-TEST(Platform, GpuScalingFavorsA100) {
-  host_calibration() = {8.0, 0.05, 0.02};
-  const double host = 1.0;  // second
-  const double on_v100 = cori_v100().scale_gpu_seconds(host, true);
-  const double on_a100 = cori_a100().scale_gpu_seconds(host, true);
-  // A100 HBM is 1.6/0.9 faster.
-  EXPECT_NEAR(on_v100 / on_a100, 1.6 / 0.9, 1e-9);
-  const double c_v100 = cori_v100().scale_gpu_seconds(host, false);
-  const double c_a100 = cori_a100().scale_gpu_seconds(host, false);
-  EXPECT_NEAR(c_v100 / c_a100, 19.5 / 15.7, 1e-9);
+KernelStats kernel(std::uint64_t bytes, std::uint64_t ops,
+                   std::uint64_t divergences) {
+  KernelStats s;
+  s.bytes_read = bytes / 2;
+  s.bytes_written = bytes - bytes / 2;
+  s.lockstep_ops = ops;
+  s.divergent_branches = divergences;
+  s.wall_seconds = 123.0;  // host wall time must not enter the model
+  return s;
+}
+
+TEST(Platform, GpuRooflineBytesOnlyScalesWithHbmBandwidth) {
+  const KernelStats s = kernel(40'000'000, 0, 0);
+  const double v100 = cori_v100().gpu_kernel_seconds(s);
+  EXPECT_DOUBLE_EQ(v100, 40e6 / 0.9e12);
+  EXPECT_DOUBLE_EQ(v100 / cori_a100().gpu_kernel_seconds(s), 1.6 / 0.9);
+  EXPECT_EQ(summit().gpu_kernel_seconds(s), v100) << "both are V100s";
+}
+
+TEST(Platform, GpuRooflineOpsOnlyScalesWithFp32Throughput) {
+  const KernelStats s = kernel(0, 500'000, 0);
+  const double v100 = cori_v100().gpu_kernel_seconds(s);
+  EXPECT_DOUBLE_EQ(v100, 500'000.0 * 32 / 15.7e12);
+  EXPECT_DOUBLE_EQ(v100 / cori_a100().gpu_kernel_seconds(s), 19.5 / 15.7);
+}
+
+TEST(Platform, GpuRooflineChargesDivergenceAsLockstepOps) {
+  for (const PlatformModel& p : all_platforms()) {
+    EXPECT_EQ(p.gpu_kernel_seconds(kernel(0, 1000, 70)),
+              p.gpu_kernel_seconds(kernel(0, 1070, 0)))
+        << p.name;
+    EXPECT_EQ(p.gpu_kernel_seconds(kernel(0, 0, 7)),
+              p.gpu_kernel_seconds(kernel(0, 7, 0)))
+        << p.name;
+  }
+}
+
+TEST(Platform, GpuRooflineZeroCountsCostNothing) {
+  for (const PlatformModel& p : all_platforms()) {
+    EXPECT_EQ(p.gpu_kernel_seconds(kernel(0, 0, 0)), 0.0) << p.name;
+  }
+}
+
+TEST(Platform, GpuRooflineTakesTheLargerTerm) {
+  // On a V100 one lockstep op (32 lane ops) costs as long as moving
+  // 32 * 0.9 / 15.7 = 1.83 bytes, so a kernel is bandwidth-bound unless it
+  // moves less than that per op.
+  const PlatformModel v = cori_v100();
+  const double bw = v.gpu_kernel_seconds(kernel(1024, 0, 0));
+  const double ops = v.gpu_kernel_seconds(kernel(0, 1000, 0));
+  EXPECT_EQ(v.gpu_kernel_seconds(kernel(1024, 1, 0)), bw);
+  EXPECT_EQ(v.gpu_kernel_seconds(kernel(64, 1000, 0)), ops);
+  EXPECT_EQ(v.gpu_kernel_seconds(kernel(1024, 1000, 0)), std::max(bw, ops));
 }
 
 TEST(Platform, SummitCpuIsSlower) {
@@ -181,17 +225,6 @@ TEST(SimGpu, CountersAggregate) {
   EXPECT_EQ(stats.bytes_written, 1280u);
   EXPECT_EQ(stats.divergent_branches, 10u);
   EXPECT_EQ(gpu.lifetime_stats().warps, 10u);
-  // 128 bytes / (1 op * 32 lanes) = 4 B/lane-op boundary -> not BW bound.
-  EXPECT_FALSE(stats.bandwidth_bound());
-}
-
-TEST(SimGpu, BandwidthBoundHeuristic) {
-  KernelStats stats;
-  stats.lockstep_ops = 1;
-  stats.bytes_read = 1024;
-  EXPECT_TRUE(stats.bandwidth_bound());
-  stats.bytes_read = 64;
-  EXPECT_FALSE(stats.bandwidth_bound());
 }
 
 TEST(SimGpu, KernelExceptionsPropagate) {
